@@ -192,7 +192,7 @@ func main() {
 			no: *no, nc: *nc, hotn: *hotn,
 			reps: *reps, seed: *seed, workers: *workers, shareBases: *shareBases,
 			calendar: calKind, calhint: *calhint, shardWorkers: *shardWorkers,
-			layout: layout,
+			layout:  layout,
 			journal: *journalPath, resume: *resumePath,
 			policy: policy, retries: *retries, cellTimeout: *cellTimeout,
 			csv: *csv, chart: *chart, progress: progress,

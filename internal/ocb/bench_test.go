@@ -5,7 +5,9 @@ import "testing"
 // BenchmarkOCBGenerate tracks the cost (time and allocations) of building
 // one mid-size object base — the dominant per-replication setup cost. The
 // Refs and ByClass arenas keep allocs/op near-constant in NO instead of
-// linear.
+// linear. Time is dominated by the per-reference locality-window draw
+// (pickIndex and its bounded rng draws); the class rank it needs is a
+// running counter, so the reference pass is linear in the references.
 func BenchmarkOCBGenerate(b *testing.B) {
 	p := DefaultParams()
 	p.NC = 20

@@ -201,19 +201,30 @@ func GenerateInto(db *Database, p Params, seed uint64) error {
 	// capacity slice expressions keep neighbouring objects from appending
 	// into each other).
 	totalRefs := 0
-	for o := range db.Objects {
-		totalRefs += len(db.Classes[db.Objects[o].Class].Refs)
+	for c := range db.Classes {
+		totalRefs += counts[c] * len(db.Classes[c].Refs)
 	}
 	db.refArena = grown(db.refArena, totalRefs)
+	// ByClass was filled in OID order, so walking objects in OID order an
+	// object's rank within its class is the number of its class's
+	// instances already visited: counts becomes that running counter.
+	clear(counts)
 	off = 0
 	for o := range db.Objects {
 		obj := &db.Objects[o]
-		refs := db.Classes[obj.Class].Refs
+		cls := int(obj.Class)
+		refs := db.Classes[cls].Refs
 		obj.Refs = db.refArena[off : off+len(refs) : off+len(refs)]
 		off += len(refs)
-		myRank := rankWithin(db.ByClass[obj.Class], OID(o))
+		myRank := counts[cls]
+		counts[cls]++
 		for r, cr := range refs {
-			obj.Refs[r] = pickInstance(refSrc, p, db.ByClass[cr.Target], myRank, OID(o))
+			candidates := db.ByClass[cr.Target]
+			if i := pickIndex(refSrc, p.ObjectLocality, len(candidates), myRank, cr.Target == cls); i >= 0 {
+				obj.Refs[r] = candidates[i]
+			} else {
+				obj.Refs[r] = NilRef
+			}
 		}
 	}
 	return nil
@@ -244,8 +255,8 @@ func (db *Database) generateSchema(p Params, classSrc *rng.Source) {
 		start := len(db.classRefArena)
 		for r := 0; r < nrefs; r++ {
 			db.classRefArena = append(db.classRefArena, ClassRef{
-				Target: pickClass(classSrc, classZipf, p, i),
-				Type:   pickRefType(classSrc, p),
+				Target: pickClass(classSrc, classZipf, p.ClassLocality, p.NC, i),
+				Type:   pickRefType(classSrc, p.TypeZeroBias, p.NRefT),
 			})
 		}
 		c.Refs = db.classRefArena[start:len(db.classRefArena):len(db.classRefArena)]
@@ -253,92 +264,67 @@ func (db *Database) generateSchema(p Params, classSrc *rng.Source) {
 }
 
 // pickRefType draws a reference type, biasing type 0 (hierarchy) when
-// TypeZeroBias is set.
-func pickRefType(src *rng.Source, p Params) uint8 {
-	if p.TypeZeroBias > 0 {
-		if src.Bernoulli(p.TypeZeroBias) {
+// typeZeroBias is set.
+func pickRefType(src *rng.Source, typeZeroBias float64, nRefT int) uint8 {
+	if typeZeroBias > 0 {
+		if src.Bernoulli(typeZeroBias) {
 			return 0
 		}
-		if p.NRefT == 1 {
+		if nRefT == 1 {
 			return 0
 		}
-		return uint8(1 + src.Intn(p.NRefT-1))
+		return uint8(1 + src.Intn(nRefT-1))
 	}
-	return uint8(src.Intn(p.NRefT))
+	return uint8(src.Intn(nRefT))
 }
 
-// pickClass selects a reference target class for class i, honouring the
-// configured distribution and class locality.
-func pickClass(src *rng.Source, zipf *rng.Zipf, p Params, i int) int {
-	if p.ClassLocality < p.NC {
-		lo := i - p.ClassLocality
-		if lo < 0 {
-			lo = 0
-		}
-		hi := i + p.ClassLocality
-		if hi > p.NC-1 {
-			hi = p.NC - 1
-		}
+// pickClass selects a reference target class for class i among nc classes,
+// honouring class locality, else the configured distribution (zipf, when
+// non-nil, else uniform).
+func pickClass(src *rng.Source, zipf *rng.Zipf, classLocality, nc, i int) int {
+	if classLocality < nc {
+		lo := max(i-classLocality, 0)
+		hi := min(i+classLocality, nc-1)
 		return src.IntRange(lo, hi)
 	}
 	if zipf != nil {
 		return zipf.Next()
 	}
-	return src.Intn(p.NC)
+	return src.Intn(nc)
 }
 
-// pickInstance selects a target instance among candidates, honouring object
-// locality (rank distance within the target class) and avoiding direct
-// self-reference when possible.
-func pickInstance(src *rng.Source, p Params, candidates []OID, myRank int, self OID) OID {
-	if len(candidates) == 0 {
-		return NilRef
+// pickIndex draws the index of a reference's target among the count
+// instances of the target class, in class rank order. It honours object
+// locality: when the ±objectLocality window around the requester's rank
+// (projected into the target class, since classes differ in size) is
+// narrower than the class, the draw is uniform over that window, otherwise
+// over the whole class. When the target class is the requester's own
+// class (ownClass), index myRank is the requester itself: a draw landing
+// on it is retried up to four times, and -1 (NilRef) is returned when the
+// requester is the class's only instance. Every layout maps the index to
+// an OID its own way (v1 through ByClass, v2 by offsetting the class's OID
+// range), so they all share this one draw sequence.
+//
+// count is at least 1: generation gives every class an instance.
+func pickIndex(src *rng.Source, objectLocality, count, myRank int, ownClass bool) int {
+	selfIdx := -1
+	if ownClass {
+		selfIdx = myRank
 	}
-	pick := func() OID {
-		if p.ObjectLocality < len(candidates) {
-			// Center the window on the requester's rank, projected into
-			// the target class's rank range (classes differ in size).
-			center := myRank
-			if center > len(candidates)-1 {
-				center = len(candidates) - 1
-			}
-			lo := center - p.ObjectLocality
-			if lo < 0 {
-				lo = 0
-			}
-			hi := center + p.ObjectLocality
-			if hi > len(candidates)-1 {
-				hi = len(candidates) - 1
-			}
-			return candidates[src.IntRange(lo, hi)]
-		}
-		return candidates[src.Intn(len(candidates))]
+	lo, n := 0, count
+	if objectLocality < count {
+		center := min(myRank, count-1)
+		lo = max(center-objectLocality, 0)
+		n = min(center+objectLocality, count-1) - lo + 1
 	}
-	t := pick()
-	for retry := 0; t == self && retry < 4; retry++ {
-		t = pick()
+	t := lo + src.Intn(n)
+	for retry := 0; t == selfIdx && retry < 4; retry++ {
+		t = lo + src.Intn(n)
 	}
-	if t == self && len(candidates) == 1 {
-		return NilRef
+	if t == selfIdx && count == 1 {
+		return -1
 	}
 	return t
-}
-
-func rankWithin(list []OID, o OID) int {
-	// Instances are appended in OID order, so binary search applies.
-	lo, hi := 0, len(list)-1
-	for lo <= hi {
-		mid := (lo + hi) / 2
-		switch {
-		case list[mid] == o:
-			return mid
-		case list[mid] < o:
-			lo = mid + 1
-		default:
-			hi = mid - 1
-		}
-	}
-	return 0
 }
 
 // TotalBytes returns the sum of all instance sizes (the logical base size,

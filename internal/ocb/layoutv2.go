@@ -92,15 +92,29 @@ func (sb *streamBase) materialize(db *Database, o OID) []OID {
 	cls := db.classIndexOf(o)
 	crefs := db.Classes[cls].Refs
 	base := int(uint32(o)&sb.mask) * db.Params.MaxNRef
-	refs := sb.refsArena[base:base : base+db.Params.MaxNRef]
+	refs := sb.refsArena[base : base : base+db.Params.MaxNRef]
 	myRank := int(o - db.classStart[cls])
 	sb.src.Reinit(rng.SubSeed(sb.refBase, uint64(o)))
 	for _, cr := range crefs {
-		lo, hi := db.classStart[cr.Target], db.classStart[cr.Target+1]
-		refs = append(refs, pickInstanceRange(&sb.src, db.Params.ObjectLocality, lo, int(hi-lo), myRank, o))
+		refs = append(refs, db.pickRefV2(&sb.src, cr.Target, cls, myRank))
 	}
 	slot.oid, slot.refs = o, refs
 	return refs
+}
+
+// pickRefV2 draws one reference of the object at rank myRank in class cls
+// to an instance of class target. Under the class-contiguous v2 assignment
+// the target's candidates are the OID range starting at classStart[target],
+// so pickIndex's index maps to an OID by offset. Eager-v2 materialization
+// and streaming derivation both draw through here, which is what makes the
+// two layouts bit-identical by construction.
+func (db *Database) pickRefV2(src *rng.Source, target, cls, myRank int) OID {
+	start := db.classStart[target]
+	i := pickIndex(src, db.Params.ObjectLocality, int(db.classStart[target+1]-start), myRank, target == cls)
+	if i < 0 {
+		return NilRef
+	}
+	return start + OID(i)
 }
 
 // classIndexOf returns the class owning OID o under the v2 class-contiguous
@@ -116,45 +130,6 @@ func (db *Database) classIndexOf(o OID) int {
 		}
 	}
 	return lo
-}
-
-// pickInstanceRange is pickInstance over the contiguous candidate range
-// [start, start+count): because v2 instances are class-contiguous,
-// candidates[i] is simply start+i, so the draw sequence — window clamping,
-// self-reference retries, NilRef fallback — mirrors pickInstance exactly
-// without a materialized candidate slice. Both v2 flavors share this
-// function, which is what makes eager-v2 and streaming bit-identical by
-// construction.
-func pickInstanceRange(src *rng.Source, objectLocality int, start OID, count, myRank int, self OID) OID {
-	if count == 0 {
-		return NilRef
-	}
-	pick := func() OID {
-		if objectLocality < count {
-			center := myRank
-			if center > count-1 {
-				center = count - 1
-			}
-			lo := center - objectLocality
-			if lo < 0 {
-				lo = 0
-			}
-			hi := center + objectLocality
-			if hi > count-1 {
-				hi = count - 1
-			}
-			return start + OID(src.IntRange(lo, hi))
-		}
-		return start + OID(src.Intn(count))
-	}
-	t := pick()
-	for retry := 0; t == self && retry < 4; retry++ {
-		t = pick()
-	}
-	if t == self && count == 1 {
-		return NilRef
-	}
-	return t
 }
 
 // generateV2 builds a v2 base into db: schema and class-population draws
@@ -262,13 +237,12 @@ func generateV2(db *Database, p Params, seed uint64) error {
 			obj := &db.Objects[o]
 			obj.Class = int32(c)
 			obj.Size = size
-			obj.Refs = db.refArena[refOff:refOff : refOff+len(crefs)]
+			obj.Refs = db.refArena[refOff : refOff : refOff+len(crefs)]
 			refOff += len(crefs)
 			src.Reinit(rng.SubSeed(refBase, uint64(o)))
 			myRank := int(o - lo)
 			for _, cr := range crefs {
-				tlo, thi := db.classStart[cr.Target], db.classStart[cr.Target+1]
-				obj.Refs = append(obj.Refs, pickInstanceRange(src, p.ObjectLocality, tlo, int(thi-tlo), myRank, o))
+				obj.Refs = append(obj.Refs, db.pickRefV2(src, cr.Target, c, myRank))
 			}
 		}
 	}

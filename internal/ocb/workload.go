@@ -186,7 +186,7 @@ func (g *Generator) Next() Transaction {
 // nextInto generates the next transaction, placing its ops in a (if non
 // nil) or in a fresh exact-size slice.
 func (g *Generator) nextInto(a *opArena) Transaction {
-	p := g.db.Params
+	p := &g.db.Params
 	tt := TxType(g.typeDist.Next())
 	root := g.pickRoot()
 	tx := Transaction{ID: g.next, Type: tt, Root: root}

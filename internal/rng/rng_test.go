@@ -254,18 +254,51 @@ func TestDiscretePanics(t *testing.T) {
 	}
 }
 
-func TestMul64(t *testing.T) {
-	cases := []struct{ a, b, hi, lo uint64 }{
-		{0, 0, 0, 0},
-		{1, 1, 0, 1},
-		{math.MaxUint64, 2, 1, math.MaxUint64 - 1},
-		{1 << 32, 1 << 32, 1, 0},
-		{math.MaxUint64, math.MaxUint64, math.MaxUint64 - 1, 1},
+// TestIntnVector pins Intn and IntRange output bit for bit. The bounds
+// reach into the high word of the 128-bit product (2³²+1 and up) and past
+// 2⁶² where Lemire's rejection threshold (-n mod n) is large enough that
+// draws are actually rejected, so any change to the multiply or to the
+// rejection test shows up as a different vector or a shifted stream.
+func TestIntnVector(t *testing.T) {
+	cases := []struct {
+		n          int
+		intn       []int
+		intRange   []int // IntRange(-1, n-2): the same bound, shifted
+		wantReject bool  // the 12 draws consume extra Uint64s
+	}{
+		{1, []int{0, 0, 0, 0, 0, 0}, []int{-1, -1, -1, -1, -1, -1}, false},
+		{2, []int{1, 1, 1, 0, 1, 0}, []int{-1, -1, 0, 0, 0, 0}, false},
+		{3, []int{2, 1, 1, 1, 2, 0}, []int{-1, 0, 1, 0, 1, 1}, false},
+		{1<<32 + 1,
+			[]int{3019026285, 2235258262, 2465765206, 1680743548, 2994358499, 616637202},
+			[]int{305136878, 1637174731, 3724391562, 2369575819, 4005368139, 4111220721}, false},
+		{1<<62 + 1,
+			[]int{3241654790026019889, 2647595229880422725, 3215167955998920093, 662109154491460040, 327638229622539321, 1757902983245101607},
+			[]int{2544312663319080051, 4414389636805556777, 3085664275766810892, 2766704523838759797, 371037552993509152, 294107345136729450}, true},
+		{math.MaxInt64,
+			[]int{6483309580052039777, 4800180567299270260, 5295190459760845449, 3609369285294772691, 6430335911997840184, 1324218308982920080},
+			[]int{655276459245078641, 3515805966490203213, 7998069979703846158, 5088625326638160102, 8601462584538370918, 8828779273611113553}, false},
 	}
 	for _, c := range cases {
-		hi, lo := mul64(c.a, c.b)
-		if hi != c.hi || lo != c.lo {
-			t.Errorf("mul64(%d,%d) = (%d,%d), want (%d,%d)", c.a, c.b, hi, lo, c.hi, c.lo)
+		r := New(1)
+		for i, want := range c.intn {
+			if got := r.Intn(c.n); got != want {
+				t.Errorf("n=%d: Intn draw %d = %d, want %d", c.n, i, got, want)
+			}
+		}
+		for i, want := range c.intRange {
+			if got := r.IntRange(-1, c.n-2); got != want {
+				t.Errorf("n=%d: IntRange draw %d = %d, want %d", c.n, i, got, want)
+			}
+		}
+		// A stream that drew exactly one Uint64 per value is in step with
+		// a reference stream advanced len(intn)+len(intRange) times.
+		ref := New(1)
+		for i := 0; i < len(c.intn)+len(c.intRange); i++ {
+			ref.Uint64()
+		}
+		if rejected := r.Uint64() != ref.Uint64(); rejected != c.wantReject {
+			t.Errorf("n=%d: rejection branch taken = %v, want %v", c.n, rejected, c.wantReject)
 		}
 	}
 }
@@ -274,6 +307,19 @@ func BenchmarkUint64(b *testing.B) {
 	r := New(1)
 	for i := 0; i < b.N; i++ {
 		r.Uint64()
+	}
+}
+
+// BenchmarkIntn measures one bounded draw at a typical simulator bound
+// (an object index in a 20000-object base).
+func BenchmarkIntn(b *testing.B) {
+	r := New(1)
+	sum := 0
+	for i := 0; i < b.N; i++ {
+		sum += r.Intn(20000)
+	}
+	if sum < 0 {
+		b.Fatal(sum)
 	}
 }
 

@@ -63,14 +63,14 @@ type journalValue struct {
 // journalCell is one completed cell: the PointResult in wire form plus an
 // integrity checksum.
 type journalCell struct {
-	Index  int            `json:"index"`
-	Coords []int          `json:"coords"`
-	X      float64        `json:"x"`
-	Label  string         `json:"label"`
-	Labels []string       `json:"labels"`
-	Seed   uint64         `json:"seed"`
-	Values []journalValue `json:"values"`
-	Result *core.Result   `json:"result,omitempty"`
+	Index  int              `json:"index"`
+	Coords []int            `json:"coords"`
+	X      float64          `json:"x"`
+	Label  string           `json:"label"`
+	Labels []string         `json:"labels"`
+	Seed   uint64           `json:"seed"`
+	Values []journalValue   `json:"values"`
+	Result *core.Result     `json:"result,omitempty"`
 	DSTC   *core.DSTCResult `json:"dstc,omitempty"`
 	// Check is the SHA-256 hex of this record serialized with Check set to
 	// "" — a per-line integrity fingerprint.

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# bench.sh — run the kernel, lock-table, transaction-pipeline, and OCB
+# bench.sh — run the kernel, lock-table, transaction-pipeline, RNG and OCB
 # microbenchmarks plus the headline figure benchmark with -benchmem and
 # write a BENCH_<date>.json summary, so successive PRs accumulate a
 # comparable performance trajectory.
@@ -36,6 +36,7 @@ GOMAXPROCS_EFF="${GOMAXPROCS:-$CORES}"
   go test -run '^$' -bench 'BenchmarkShardedScale' -benchmem ./internal/sim/
   go test -run '^$' -bench 'BenchmarkAcquireReleaseCycle|BenchmarkAcquireConflictDispatch|BenchmarkReleaseAllWide' -benchmem ./internal/lock/
   go test -run '^$' -bench 'BenchmarkTxnSubmitCommit' -benchmem ./internal/core/
+  go test -run '^$' -bench 'BenchmarkIntn' -benchmem ./internal/rng/
   go test -run '^$' -bench 'BenchmarkOCBGenerate' -benchmem ./internal/ocb/
   go test -run '^$' -bench 'BenchmarkStreamGen1M|BenchmarkStreamAccess' -benchmem ./internal/ocb/
   go test -run '^$' -bench 'BenchmarkFig6|BenchmarkLargeMPLSharded|BenchmarkStreamMillionObjects' -benchtime "${FIG_BENCHTIME:-1x}" -benchmem .
