@@ -43,6 +43,9 @@ type Run struct {
 	// execPool recycles transaction executors (LIFO), so steady-state
 	// transaction execution performs no per-transaction allocation.
 	execPool []*txnExec
+	// depth counts txnExec.step frames on the stack; only the outermost
+	// (depth 1) may advance the clock in place (see txnExec.wait).
+	depth int
 
 	// Counters (see also the substrate models' own counters).
 	txDone      uint64
@@ -82,9 +85,10 @@ func NewRun(cfg Config, db *ocb.Database, seed uint64) (*Run, error) {
 		return nil, err
 	}
 	// VOODB_NO_HEADSLOT=1 disables the kernel's head-slot dispatch fast
-	// path — an A/B escape hatch for benchmarking and for rerunning the
-	// golden suites with the register forced off. Results are bit-identical
-	// either way (only BypassRate changes); it is an env var rather than a
+	// path, and with it the in-place clock advance — an A/B escape hatch
+	// for benchmarking and for rerunning the golden suites with every
+	// event routed through the calendar. Results are bit-identical either
+	// way (only BypassRate changes); it is an env var rather than a
 	// Config field so it never enters sweep-journal fingerprints.
 	s := sim.New(
 		sim.WithCalendar(cfg.Calendar),
@@ -164,6 +168,7 @@ func (r *Run) Reset(db *ocb.Database, seed uint64) {
 	r.respTotal = 0
 	r.respDist.Reset()
 	r.activeTx = 0
+	r.depth = 0
 	r.lastSummary = cluster.Summary{}
 	r.lastReorg = ReorgReport{}
 	r.reorgIOs = 0

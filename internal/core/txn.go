@@ -18,6 +18,9 @@ type txnState uint8
 
 const (
 	stIdle txnState = iota
+	// stAdmit takes a MULTILVL token from the database scheduler, queuing
+	// until one is free.
+	stAdmit
 	// stBegin runs at admission grant: register with the lock manager and
 	// start the first operation.
 	stBegin
@@ -114,12 +117,12 @@ type txnExec struct {
 
 	cpuRes *sim.Resource
 
-	// cont is the one reusable continuation scheduled on the kernel;
-	// lockGranted/lockDied are the pre-bound lock-table callbacks. All
-	// three are created once per executor lifetime.
+	// cont is the one reusable continuation scheduled on the kernel and
+	// queued on passive resources; lockGranted is the pre-bound callback a
+	// queued lock request runs at dispatch. Both are created once per
+	// executor lifetime.
 	cont        func()
 	lockGranted func()
-	lockDied    func()
 }
 
 // getExec pops a recycled executor or builds one, binding its permanent
@@ -136,7 +139,6 @@ func (r *Run) getExec() *txnExec {
 		e.state = stFetchObject
 		e.step()
 	}
-	e.lockDied = e.restart
 	return e
 }
 
@@ -146,41 +148,78 @@ func (r *Run) submit(tx *ocb.Transaction, done func()) {
 	e.tx = tx
 	e.submitT = r.sim.Now()
 	e.done = done
-	e.state = stBegin
-	// The database passive resource schedules transactions according to
-	// the multiprogramming level (Table 1).
-	r.admission.Request(e.cont)
+	e.state = stAdmit
+	e.step()
 }
 
-// restart aborts after a wait-die death: release everything, pause briefly,
-// and re-run from the first operation.
-func (e *txnExec) restart() {
-	e.r.txAborted++
-	e.r.locks.End(e.txid)
-	e.state = stRestart
-	e.r.after(1.0, e.cont)
+// acquire takes a token of res and moves to next. It reports true when a
+// token was free, so the loop continues inline; otherwise the executor
+// queues on res and resumes at next when a release hands the token over.
+func (e *txnExec) acquire(res *sim.Resource, next txnState) bool {
+	e.state = next
+	if res.TryAcquire() {
+		return true
+	}
+	res.Request(e.cont)
+	return false
 }
 
-// diskIO acquires the disk controller, holds it for the transfer time of
-// one page op, releases, then resumes at next. Equivalent to Run.use with
-// readPage/writePage, without the per-call closures.
-func (e *txnExec) diskIO(p disk.PageID, write bool, next txnState) {
+// wait charges d simulated ms before the current state runs. It reports
+// true when the loop may run that state inline: d is zero, or this is the
+// outermost step frame and the continuation is already the next event, so
+// the kernel advances the clock in place. Otherwise it schedules the
+// continuation and the caller returns to the kernel.
+//
+// Only the outermost frame may advance, because a nested one has work
+// waiting beneath it at the current instant: a lock grant dispatched from
+// another transaction's ReleaseAll runs while that release loop still has
+// items to free, and a transaction submitted inline by a zero-think-time
+// commit would otherwise run to its own commit, submit the next, and nest
+// the whole batch on one stack.
+func (e *txnExec) wait(d float64) bool {
+	r := e.r
+	if d <= 0 || r.depth == 1 && r.sim.Advance(d) {
+		return true
+	}
+	r.sim.Schedule(d, e.cont)
+	return false
+}
+
+// diskIO acquires the disk controller for one page op (the service time is
+// computed at grant), releases it after the transfer, then resumes at next.
+// It reports whether the loop may continue inline.
+func (e *txnExec) diskIO(p disk.PageID, write bool, next txnState) bool {
 	e.diskPage = p
 	e.diskWrite = write
 	e.afterDisk = next
-	e.state = stDiskGrant
-	e.r.diskRes.Request(e.cont)
+	return e.acquire(e.r.diskRes, stDiskGrant)
 }
 
-// step executes states until the transaction hands off to the kernel (a
-// scheduled delay, a resource grant, or a lock decision). Pure transitions
-// loop in place; any call that may fire callbacks returns immediately so
-// re-entrant execution (inline grants, zero delays) never resumes a stale
-// frame.
+// step runs the state machine until the transaction waits on the kernel: a
+// queued lock request or resource token, or a delay that is not the next
+// event. Everything else — immediate lock grants, free tokens, zero delays
+// and, in the outermost frame, delays the kernel advances in place —
+// continues the one loop, so no continuation re-enters step through a
+// callback.
 func (e *txnExec) step() {
+	e.r.depth++
+	e.loop()
+	e.r.depth--
+}
+
+// loop is step's body: it dispatches on the state until the transaction
+// waits on the kernel.
+func (e *txnExec) loop() {
 	r := e.r
 	for {
 		switch e.state {
+		case stAdmit:
+			// The database passive resource schedules transactions
+			// according to the multiprogramming level (Table 1).
+			if !e.acquire(r.admission, stBegin) {
+				return
+			}
+
 		case stBegin:
 			r.activeTx++
 			e.txid = r.locks.Begin()
@@ -196,15 +235,18 @@ func (e *txnExec) step() {
 
 		case stNextOp:
 			if e.opIdx >= len(e.tx.Ops) {
-				held := r.locks.HeldCount(e.txid)
+				// RELLOCK service time, then commit.
 				e.state = stCommit
-				r.after(float64(held)*r.cfg.RelLockMs, e.cont)
-				return
+				if !e.wait(float64(r.locks.HeldCount(e.txid)) * r.cfg.RelLockMs) {
+					return
+				}
+				continue
 			}
 			// GETLOCK service time, then the lock table decides.
 			e.state = stGetLock
-			r.after(r.cfg.GetLockMs, e.cont)
-			return
+			if !e.wait(r.cfg.GetLockMs) {
+				return
+			}
 
 		case stGetLock:
 			op := e.tx.Ops[e.opIdx]
@@ -212,8 +254,21 @@ func (e *txnExec) step() {
 			if op.Write() {
 				mode = lock.Exclusive
 			}
-			r.locks.Acquire(e.txid, lock.Item(op.Object()), mode, e.lockGranted, e.lockDied)
-			return
+			switch r.locks.Request(e.txid, lock.Item(op.Object()), mode, e.lockGranted) {
+			case lock.Granted:
+				e.state = stFetchObject
+			case lock.Queued:
+				return
+			case lock.Died:
+				// Wait-die abort: release everything, pause briefly, and
+				// re-run from the first operation.
+				r.txAborted++
+				r.locks.End(e.txid)
+				e.state = stRestart
+				if !e.wait(1.0) {
+					return
+				}
+			}
 
 		case stFetchObject:
 			first, span := r.store.Pages(e.tx.Ops[e.opIdx].Object())
@@ -255,12 +310,14 @@ func (e *txnExec) step() {
 			}
 			p := e.evs[e.evIdx].Page
 			e.evIdx++
-			e.diskIO(p, true, stEvict)
-			return
+			if !e.diskIO(p, true, stEvict) {
+				return
+			}
 
 		case stReadFault:
-			e.diskIO(e.faultPage, false, stFaultLoaded)
-			return
+			if !e.diskIO(e.faultPage, false, stFaultLoaded) {
+				return
+			}
 
 		case stFaultLoaded:
 			if r.cfg.SwizzleDirty {
@@ -286,8 +343,9 @@ func (e *txnExec) step() {
 			e.state = stPageDone
 
 		case stReadPrefetch:
-			e.diskIO(e.prefetchPage, false, stPageDone)
-			return
+			if !e.diskIO(e.prefetchPage, false, stPageDone) {
+				return
+			}
 
 		case stPageDone:
 			if e.loaded && r.cfg.ReserveOnLoad {
@@ -317,27 +375,24 @@ func (e *txnExec) step() {
 			// Page server systems ship the page to the client; object
 			// servers ship the object once found (charged in stTreatment);
 			// centralized and DB servers move nothing.
-			if r.cfg.System == PageServer && !r.net.IsFree() {
-				e.state = stFetchPage
-				r.after(r.net.TransferTime(r.cfg.PageSize), e.cont)
+			e.state = stFetchPage
+			if r.cfg.System == PageServer && !r.net.IsFree() && !e.wait(r.net.TransferTime(r.cfg.PageSize)) {
 				return
 			}
-			e.state = stFetchPage
 
 		case stTreatment:
+			e.state = stCPU
 			if r.cfg.System == ObjectServer && !r.net.IsFree() {
 				size := int(r.db.SizeOf(e.tx.Ops[e.opIdx].Object()))
-				e.state = stCPU
-				r.after(r.net.TransferTime(size), e.cont)
-				return
-			}
-			if r.cfg.System == DBServer && !r.net.IsFree() {
+				if !e.wait(r.net.TransferTime(size)) {
+					return
+				}
+			} else if r.cfg.System == DBServer && !r.net.IsFree() {
 				// Ship a small per-operation result record.
-				e.state = stCPU
-				r.after(r.net.TransferTime(64), e.cont)
-				return
+				if !e.wait(r.net.TransferTime(64)) {
+					return
+				}
 			}
-			e.state = stCPU
 
 		case stCPU:
 			cpu := r.serverCPU
@@ -345,18 +400,16 @@ func (e *txnExec) step() {
 				cpu = r.clientCPU
 			}
 			e.cpuRes = cpu
-			e.state = stCPUGranted
-			cpu.Request(e.cont)
-			return
-
-		case stCPUGranted:
-			if d := r.cfg.ObjectCPUMs; d > 0 {
-				e.state = stCPURelease
-				r.sim.Schedule(d, e.cont)
+			if !e.acquire(cpu, stCPUGranted) {
 				return
 			}
-			e.cpuRes.Release()
-			e.state = stOpDone
+
+		case stCPUGranted:
+			// Hold the CPU for the object processing time.
+			e.state = stCPURelease
+			if !e.wait(r.cfg.ObjectCPUMs) {
+				return
+			}
 
 		case stCPURelease:
 			e.cpuRes.Release()
@@ -378,14 +431,10 @@ func (e *txnExec) step() {
 			} else {
 				d = r.dsk.ReadTime(e.diskPage)
 			}
-			if d <= 0 {
-				r.diskRes.Release()
-				e.state = e.afterDisk
-				continue
-			}
 			e.state = stDiskRelease
-			r.sim.Schedule(d, e.cont)
-			return
+			if !e.wait(d) {
+				return
+			}
 
 		case stDiskRelease:
 			r.diskRes.Release()

@@ -51,7 +51,33 @@ type request struct {
 	tx      TxID
 	mode    Mode
 	granted func()
-	died    func()
+}
+
+// Outcome is what the lock table decided about a request.
+type Outcome uint8
+
+const (
+	// Granted: the lock is held on return.
+	Granted Outcome = iota
+	// Queued: the request waits; its granted callback runs when a
+	// conflicting holder releases.
+	Queued
+	// Died: the transaction lost a wait-die conflict and must abort
+	// (release everything and retry).
+	Died
+)
+
+// String returns the outcome's name.
+func (o Outcome) String() string {
+	switch o {
+	case Granted:
+		return "granted"
+	case Queued:
+		return "queued"
+	case Died:
+		return "died"
+	}
+	return fmt.Sprintf("Outcome(%d)", uint8(o))
 }
 
 // holderSlot records one holder of an item.
@@ -451,14 +477,32 @@ func (rec *txRec) updateHeld(item Item, mode Mode) {
 // Acquire requests item in the given mode for tx. Exactly one of granted or
 // died is invoked — possibly immediately (before Acquire returns), or later
 // when a conflicting holder releases. died means the transaction lost a
-// wait-die conflict and must abort (release everything and retry).
+// wait-die conflict and must abort (release everything and retry). It is
+// Request with both outcomes delivered through callbacks.
 func (m *Manager) Acquire(tx TxID, item Item, mode Mode, granted, died func()) {
 	if granted == nil || died == nil {
 		panic("lock: Acquire with nil callback")
 	}
+	switch m.Request(tx, item, mode, granted) {
+	case Granted:
+		granted()
+	case Died:
+		died()
+	}
+}
+
+// Request asks for item in the given mode for tx and returns the decision:
+// Granted (the lock is held), Died (wait-die abort), or Queued. granted
+// runs only for a Queued request, exactly once, when a release dispatches
+// it; an immediate decision invokes nothing, so the caller continues
+// without re-entering itself through a callback.
+func (m *Manager) Request(tx TxID, item Item, mode Mode, granted func()) Outcome {
+	if granted == nil {
+		panic("lock: Request with nil callback")
+	}
 	rec := m.lookupTx(tx)
 	if rec == nil {
-		panic(fmt.Sprintf("lock: Acquire by unknown transaction %d", tx))
+		panic(fmt.Sprintf("lock: Request by unknown transaction %d", tx))
 	}
 	e := m.lookupItem(item)
 	if e == nil {
@@ -469,45 +513,30 @@ func (m *Manager) Acquire(tx TxID, item Item, mode Mode, granted, died func()) {
 		e.setHolder(tx, mode)
 		rec.locks = append(rec.locks, heldLock{item: item, mode: mode})
 		m.acquisitions++
-		granted()
-		return
+		return Granted
 	}
 
 	// Re-entrant cases.
 	if have, ok := e.findHolder(tx); ok {
 		if have == Exclusive || mode == Shared {
 			m.acquisitions++
-			granted()
-			return
+			return Granted
 		}
 		// Upgrade S → X: immediate if sole holder.
 		if e.numHolders() == 1 {
 			e.setHolder(tx, Exclusive)
 			rec.updateHeld(item, Exclusive)
 			m.acquisitions++
-			granted()
-			return
+			return Granted
 		}
 		// Conflicting upgrade: wait-die against the other holders and the
 		// queue.
-		if m.youngerThanAnyBlocker(e, tx, Exclusive) {
-			m.deaths++
-			died()
-			return
-		}
-		m.waits++
-		m.queued++
-		e.queue = append(e.queue, request{tx: tx, mode: Exclusive, granted: granted, died: died})
-		rec.waits = append(rec.waits, item)
-		return
-	}
-
-	if m.compatible(e, tx, mode) && len(e.queue) == 0 {
+		mode = Exclusive
+	} else if m.compatible(e, tx, mode) && len(e.queue) == 0 {
 		e.setHolder(tx, mode)
 		rec.locks = append(rec.locks, heldLock{item: item, mode: mode})
 		m.acquisitions++
-		granted()
-		return
+		return Granted
 	}
 	// Wait-die: a transaction younger than anyone it would wait behind —
 	// current holders AND conflicting queued requesters (FIFO queuing
@@ -515,13 +544,13 @@ func (m *Manager) Acquire(tx TxID, item Item, mode Mode, granted, died func()) {
 	// through the queue) — dies.
 	if m.youngerThanAnyBlocker(e, tx, mode) {
 		m.deaths++
-		died()
-		return
+		return Died
 	}
 	m.waits++
 	m.queued++
-	e.queue = append(e.queue, request{tx: tx, mode: mode, granted: granted, died: died})
+	e.queue = append(e.queue, request{tx: tx, mode: mode, granted: granted})
 	rec.waits = append(rec.waits, item)
+	return Queued
 }
 
 // compatible reports whether tx may take item in mode alongside the current

@@ -375,3 +375,85 @@ func TestHotConflictProgress(t *testing.T) {
 		t.Fatalf("completed %d of %d", completed, txns)
 	}
 }
+
+// TestRequestOutcomes pins Request's contract: every immediate decision —
+// fresh grant, re-entrant grant, sole-holder upgrade, wait-die death — is
+// returned without invoking the callback, and a queued request's callback
+// runs exactly once, when a release dispatches it.
+func TestRequestOutcomes(t *testing.T) {
+	m := NewManager()
+	calls := 0
+	count := func() { calls++ }
+	old, young := m.Begin(), m.Begin()
+	request := func(tx TxID, item Item, mode Mode, want Outcome, what string) {
+		t.Helper()
+		if got := m.Request(tx, item, mode, count); got != want {
+			t.Fatalf("%s: outcome %v, want %v", what, got, want)
+		}
+		if calls != 0 {
+			t.Fatalf("%s: callback ran %d times before any dispatch", what, calls)
+		}
+	}
+	request(young, 1, Shared, Granted, "fresh grant")
+	request(young, 1, Shared, Granted, "re-entrant shared")
+	request(young, 1, Exclusive, Granted, "sole-holder upgrade")
+	request(young, 1, Shared, Granted, "re-entrant under exclusive")
+	if mode, ok := m.Holds(young, 1); !ok || mode != Exclusive {
+		t.Fatalf("after upgrade young holds %v (held=%v), want X", mode, ok)
+	}
+	request(young, 2, Exclusive, Granted, "fresh exclusive")
+	request(old, 3, Exclusive, Granted, "older fresh exclusive")
+	request(young, 3, Shared, Died, "younger behind an older holder")
+	request(old, 1, Shared, Queued, "older behind a younger holder")
+	if m.Acquisitions() != 6 || m.Deaths() != 1 || m.Waits() != 1 {
+		t.Fatalf("acquisitions/deaths/waits = %d/%d/%d, want 6/1/1", m.Acquisitions(), m.Deaths(), m.Waits())
+	}
+
+	m.ReleaseAll(young)
+	if calls != 1 {
+		t.Fatalf("queued callback ran %d times at dispatch, want 1", calls)
+	}
+	if _, ok := m.Holds(old, 1); !ok {
+		t.Fatal("dispatched request does not hold its item")
+	}
+	m.End(young)
+	m.End(old)
+	if calls != 1 {
+		t.Fatalf("queued callback ran %d times in total, want 1", calls)
+	}
+}
+
+// TestRequestQueuedUpgrade: a conflicting S→X upgrade by the oldest
+// holder queues, and is granted once at dispatch when it becomes the sole
+// holder.
+func TestRequestQueuedUpgrade(t *testing.T) {
+	m := NewManager()
+	old, young := m.Begin(), m.Begin()
+	calls := 0
+	mustGrant(t, m, old, 1, Shared)
+	mustGrant(t, m, young, 1, Shared)
+	if got := m.Request(old, 1, Exclusive, func() { calls++ }); got != Queued {
+		t.Fatalf("contended upgrade by the oldest holder: %v, want queued", got)
+	}
+	if got := m.Request(young, 1, Exclusive, func() { t.Fatal("younger upgrade granted") }); got != Died {
+		t.Fatalf("contended upgrade by the younger holder: %v, want died", got)
+	}
+	m.End(young)
+	if calls != 1 {
+		t.Fatalf("queued upgrade callback ran %d times, want 1", calls)
+	}
+	if mode, _ := m.Holds(old, 1); mode != Exclusive {
+		t.Fatalf("after dispatch old holds %v, want X", mode)
+	}
+}
+
+func TestRequestNilCallbackPanics(t *testing.T) {
+	m := NewManager()
+	tx := m.Begin()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Request with a nil callback did not panic")
+		}
+	}()
+	m.Request(tx, 1, Shared, nil)
+}

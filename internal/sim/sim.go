@@ -122,12 +122,18 @@ type Simulation struct {
 	cancelled uint64
 	peak      int // high-water mark of Pending()
 
-	// Cooperative halting (see SetStopCheck/Halt). The check is polled at
-	// a coarse, masked interval inside Run, never per event, so an
+	// Cooperative halting (see SetStopCheck/Halt). The check is polled
+	// once the executed count reaches nextPoll, never per event, so an
 	// uninstalled hook costs one nil comparison per loop iteration and the
-	// kernel's 0 allocs/op hot paths are untouched.
+	// kernel's 0 allocs/op hot paths are untouched. A threshold rather than
+	// a mask because one dispatch may account for many in-place advances.
 	stopCheck func() bool
+	nextPoll  uint64
 	halted    bool
+
+	// until is the RunUntil horizon Advance must not move the clock past
+	// (+Inf outside RunUntil).
+	until Time
 
 	// Sharded execution (see shard.go). nshards == 0 is the classic
 	// single-calendar engine; nshards ≥ 2 partitions the calendar across
@@ -153,7 +159,7 @@ type Simulation struct {
 
 // New returns an empty simulation with the clock at zero.
 func New(opts ...Option) *Simulation {
-	s := &Simulation{headSlot: -1}
+	s := &Simulation{headSlot: -1, until: math.Inf(1)}
 	for _, opt := range opts {
 		opt(s)
 	}
@@ -199,6 +205,7 @@ func (s *Simulation) Reset() {
 	s.peak = 0
 	s.stopCheck = nil
 	s.halted = false
+	s.until = math.Inf(1)
 	if s.wheel != nil {
 		s.wheel.clear(0) // keep the wheel (and its bucket storage), empty it
 	}
@@ -256,10 +263,7 @@ func (s *Simulation) Pending() int {
 	if s.nshards > 0 {
 		return s.live
 	}
-	p := len(s.heap)
-	if s.wheel != nil {
-		p += s.wheel.count
-	}
+	p := s.calendarLen()
 	if s.headSlot >= 0 {
 		p++
 	}
@@ -376,16 +380,23 @@ func (s *Simulation) place(idx int32, t Time) {
 	} else {
 		s.calInsert(idx)
 	}
-	p := len(s.heap)
-	if s.wheel != nil {
-		p += s.wheel.count
-	}
+	p := s.calendarLen()
 	if s.headSlot >= 0 {
 		p++
 	}
 	if p > s.peak {
 		s.peak = p
 	}
+}
+
+// calendarLen is the number of events in the unsharded backing calendar,
+// excluding the head-slot register.
+func (s *Simulation) calendarLen() int {
+	p := len(s.heap)
+	if s.wheel != nil {
+		p += s.wheel.count
+	}
+	return p
 }
 
 // headFits reports whether an event at time t (carrying the largest seq)
@@ -492,21 +503,80 @@ func (s *Simulation) Step() bool {
 	return true
 }
 
+// Advance moves the clock delay units forward in place of scheduling an
+// event that would be the very next to fire, and reports whether it did.
+// It succeeds exactly when Schedule(delay, …) would park the event in the
+// empty head-slot register — the register is empty and now+delay is
+// strictly earlier than every calendar event — so the next Step would
+// dispatch it straight back; the caller then runs its continuation inline
+// instead. The counters move as that Schedule plus register dispatch would
+// (sequence number, Scheduled, Executed, Bypassed, PeakPending), Trace sees
+// the new time, and the stop check is polled as Run would poll it.
+//
+// Advance refuses, changing nothing, with the register disabled, on the
+// sharded engine, past a RunUntil horizon, on a halted simulation, and when
+// the stop check trips (which halts the simulation). It panics if delay is
+// negative or NaN.
+//
+// Advance is only correct when nothing else due at the current time is
+// still waiting to run on the caller's stack: the caller must be the
+// outermost model frame of the dispatched event, with no work left after
+// it returns. Each successful Advance counts as one executed event, so a
+// Step whose action advances accounts for several.
+func (s *Simulation) Advance(delay Time) bool {
+	if math.IsNaN(delay) || delay < 0 {
+		panic(fmt.Sprintf("sim: Advance with invalid delay %v", delay))
+	}
+	if s.headSlot >= 0 || s.noBypass || s.nshards > 0 || s.halted {
+		return false
+	}
+	t := s.now + delay
+	if t > s.until || !s.headFits(t) {
+		return false
+	}
+	if s.stopCheck != nil && s.executed >= s.nextPoll && s.poll() {
+		return false
+	}
+	s.seq++
+	s.scheduled++
+	if p := s.calendarLen() + 1; p > s.peak {
+		s.peak = p // the calendar plus the register-parked event
+	}
+	s.now = t
+	s.bypass++
+	s.executed++
+	if s.Trace != nil {
+		s.Trace(t)
+	}
+	return true
+}
+
 // StopCheckInterval is how many executed events pass between polls of the
 // SetStopCheck hook during Run. The interval bounds how stale a
 // cancellation can be (a few tens of microseconds of simulation work)
 // while keeping the check off the per-event hot path.
 const StopCheckInterval = 1 << 14
 
-// SetStopCheck installs a cooperative halt hook: Run polls check every
-// StopCheckInterval executed events and, when it returns true, stops
-// executing and marks the simulation Halted. A nil check uninstalls the
-// hook. The hook is how per-cell deadlines and campaign cancellation reach
-// into a long replication without per-event cost; it is cleared by Reset so
-// a recycled simulation never carries a stale deadline.
+// SetStopCheck installs a cooperative halt hook: Run (and Advance) polls
+// check every StopCheckInterval executed events and, when it returns true,
+// stops executing and marks the simulation Halted. A nil check uninstalls
+// the hook. The hook is how per-cell deadlines and campaign cancellation
+// reach into a long replication without per-event cost; it is cleared by
+// Reset so a recycled simulation never carries a stale deadline.
 func (s *Simulation) SetStopCheck(check func() bool) {
 	s.stopCheck = check
+	s.nextPoll = s.executed + StopCheckInterval
 	s.halted = false
+}
+
+// poll runs the installed stop check, schedules the next poll, and halts
+// the simulation if the check says so. It reports whether it halted.
+func (s *Simulation) poll() bool {
+	s.nextPoll = s.executed + StopCheckInterval
+	if s.stopCheck() {
+		s.halted = true
+	}
+	return s.halted
 }
 
 // Halt stops Run before its next event, as if the stop check had fired.
@@ -530,8 +600,8 @@ func (s *Simulation) Run() {
 		return
 	}
 	for !s.halted && s.Step() {
-		if s.executed&(StopCheckInterval-1) == 0 && s.stopCheck != nil && s.stopCheck() {
-			s.halted = true
+		if s.stopCheck != nil && s.executed >= s.nextPoll {
+			s.poll()
 		}
 	}
 }
@@ -582,6 +652,7 @@ func (s *Simulation) RunUntil(horizon Time) {
 		}
 		return
 	}
+	s.until = horizon
 	for {
 		var t Time
 		if s.headSlot >= 0 {
@@ -596,6 +667,7 @@ func (s *Simulation) RunUntil(horizon Time) {
 		}
 		s.Step()
 	}
+	s.until = math.Inf(1)
 	if s.now < horizon {
 		s.now = horizon
 	}
