@@ -181,13 +181,6 @@ type Config struct {
 	// the kernel onto the timing wheel). 0 derives a small estimate from
 	// MPL and Users; huge configurations should pass their own.
 	CalendarHint int
-	// ShardWorkers shards a single replication's event calendar across
-	// this many worker goroutines (see sim.WithShardWorkers). Results are
-	// bit-identical at every value — sharding only decides how many cores
-	// one replication can use, and composes with replication-level
-	// parallelism (RunOptions.Workers / sweep Workers). 0 or 1 selects
-	// the classic single-calendar kernel.
-	ShardWorkers int
 }
 
 // calendarHint resolves the calendar pre-size: the explicit hint, or an
@@ -200,30 +193,6 @@ func (c Config) calendarHint() int {
 		return c.CalendarHint
 	}
 	return 4*c.MPL + c.Users + 16
-}
-
-// shardLookaheadMs derives the sharded kernel's window lookahead from the
-// model's service-time lower bounds: the smallest positive delay any
-// resource interposes between consecutive events. Any positive value is
-// correct (the window rule re-derives t0 exactly at every barrier); the
-// bound only tunes how many events amortize one barrier, so it is floored
-// at one default wheel tick to keep degenerate configurations (every
-// service time 0) from scheduling one-event windows.
-func (c Config) shardLookaheadMs() float64 {
-	la := math.Inf(1)
-	for _, d := range [...]float64{
-		c.GetLockMs, c.RelLockMs,
-		c.DiskSeekMs + c.DiskLatencyMs,
-		c.ThinkTimeMs,
-	} {
-		if d > 0 && d < la {
-			la = d
-		}
-	}
-	if la < sim.DefaultWheelTickMs || math.IsInf(la, 1) {
-		la = sim.DefaultWheelTickMs
-	}
-	return la
 }
 
 // DefaultConfig returns the Table 3 default column.
@@ -286,8 +255,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: unknown calendar kind %d", c.Calendar)
 	case c.CalendarHint < 0:
 		return fmt.Errorf("core: CalendarHint = %d", c.CalendarHint)
-	case c.ShardWorkers < 0 || c.ShardWorkers > sim.MaxShardWorkers:
-		return fmt.Errorf("core: ShardWorkers = %d (want 0..%d)", c.ShardWorkers, sim.MaxShardWorkers)
 	}
 	if c.Clustering == DSTC {
 		if err := c.DSTCParams.Validate(); err != nil {

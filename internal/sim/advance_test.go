@@ -140,7 +140,6 @@ func TestAdvanceRefusesBucketedEvent(t *testing.T) {
 
 func TestAdvanceRefusesWithoutRegister(t *testing.T) {
 	refuses(t, New(WithHeadSlot(false)), 1, "with the register disabled")
-	refuses(t, New(WithShardWorkers(2)), 1, "on the sharded engine")
 }
 
 // TestAdvanceRefusesPastHorizon: under RunUntil the clock must not pass

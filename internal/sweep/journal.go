@@ -30,10 +30,12 @@ import (
 // TestResumeMatchesUninterrupted and the CI resume smoke.
 
 // journalKind and journalVersion identify the format; ReadJournal rejects
-// anything else.
+// anything else. Version 2 marks a fingerprint change (a Config field and
+// a default metric were removed), so a version-1 journal fails with the
+// version error rather than a misleading fingerprint mismatch.
 const (
 	journalKind    = "voodb-sweep-journal"
-	journalVersion = 1
+	journalVersion = 2
 )
 
 // JournalHeader is the journal's first line: enough spec identity to

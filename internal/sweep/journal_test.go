@@ -131,6 +131,21 @@ func TestJournalRejectsNonJournal(t *testing.T) {
 	}
 }
 
+// TestJournalRejectsOldVersion: a version-1 journal predates the version-2
+// fingerprint, so ReadJournal must refuse it with the explicit version
+// error, not let it fail later as a spec/options mismatch.
+func TestJournalRejectsOldVersion(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "v1.jsonl")
+	header := `{"kind":"voodb-sweep-journal","version":1,"sweep":"grid","fingerprint":"00","cells":4}` + "\n"
+	if err := os.WriteFile(path, []byte(header), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := ReadJournal(path)
+	if err == nil || !strings.Contains(err.Error(), "has version 1, this build reads 2") {
+		t.Fatalf("version-1 journal: got %v, want the version error", err)
+	}
+}
+
 // TestResumeRejectsMismatchedRun: a journal written under different
 // result-affecting options (here the seed) must not resume — silent
 // acceptance would merge numbers from two different experiments.
