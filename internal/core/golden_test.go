@@ -28,6 +28,18 @@ func fingerprintBatch(st BatchStats) string {
 		hexF(st.CPUUtilization), hexF(st.MPLOccupancy))
 }
 
+// goldenBatch runs one batch, asserts the lock layer's conservation law
+// once it has drained — no live transaction, no item entry and no queued
+// request — and returns the batch's fingerprint.
+func goldenBatch(t *testing.T, run *Run, txs []ocb.Transaction) string {
+	t.Helper()
+	st := run.ExecuteBatch(txs)
+	if err := run.locks.Quiescent(); err != nil {
+		t.Errorf("after the batch: %v", err)
+	}
+	return fingerprintBatch(st)
+}
+
 // fingerprintResult folds a replicated experiment's aggregate into a string.
 func fingerprintResult(res *Result) string {
 	return fmt.Sprintf("ios=%s/%s rd=%s wr=%s hr=%s resp=%s tp=%s",
@@ -72,7 +84,7 @@ func TestGoldenFig6Point(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := ocb.GenerateWorkload(db, 43)
-	got := fingerprintBatch(run.ExecuteBatch(w.Hot))
+	got := goldenBatch(t, run, w.Hot)
 	if got != want {
 		t.Errorf("golden Fig6 point diverged:\n got  %s\n want %s", got, want)
 	}
@@ -101,7 +113,7 @@ func TestGoldenWriteContention(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := ocb.GenerateWorkload(db, 8)
-	got := fingerprintBatch(run.ExecuteBatch(w.Hot))
+	got := goldenBatch(t, run, w.Hot)
 	if got != want {
 		t.Errorf("golden contention batch diverged:\n got  %s\n want %s", got, want)
 	}
@@ -132,7 +144,7 @@ func TestGoldenTexasReserve(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := ocb.GenerateWorkload(db, 12)
-	got := fingerprintBatch(run.ExecuteBatch(w.Hot))
+	got := goldenBatch(t, run, w.Hot)
 	if got != want {
 		t.Errorf("golden Texas batch diverged:\n got  %s\n want %s", got, want)
 	}

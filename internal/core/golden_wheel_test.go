@@ -35,7 +35,7 @@ func TestGoldenFig6PointWheel(t *testing.T) {
 		t.Fatal("wheel not engaged")
 	}
 	w := ocb.GenerateWorkload(db, 43)
-	got := fingerprintBatch(run.ExecuteBatch(w.Hot))
+	got := goldenBatch(t, run, w.Hot)
 	if got != want {
 		t.Errorf("wheel Fig6 point diverged from heap golden:\n got  %s\n want %s", got, want)
 	}
@@ -62,7 +62,7 @@ func TestGoldenWriteContentionWheel(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := ocb.GenerateWorkload(db, 8)
-	got := fingerprintBatch(run.ExecuteBatch(w.Hot))
+	got := goldenBatch(t, run, w.Hot)
 	if got != want {
 		t.Errorf("wheel contention batch diverged from heap golden:\n got  %s\n want %s", got, want)
 	}
@@ -116,13 +116,13 @@ func TestWheelMatchesHeapAllArchitectures(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		heapFP := fingerprintBatch(heapRun.ExecuteBatch(w.Hot))
+		heapFP := goldenBatch(t, heapRun, w.Hot)
 
 		wheelRun, err := NewRun(onWheel(cfg), db, 23)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wheelFP := fingerprintBatch(wheelRun.ExecuteBatch(w.Hot))
+		wheelFP := goldenBatch(t, wheelRun, w.Hot)
 
 		if heapFP != wheelFP {
 			t.Errorf("%v: wheel diverged from heap:\n heap  %s\n wheel %s", sys, heapFP, wheelFP)

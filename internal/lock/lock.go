@@ -16,6 +16,18 @@
 // array (most items have at most two holders under wait-die) and are
 // themselves recycled, and End visits only the items the transaction ever
 // queued on instead of sweeping the whole table.
+//
+// It also pays for the item table only when a run can use it. A
+// transaction that begins while no other is live becomes the solo
+// transaction: nothing can conflict with it, so its grants are recorded
+// only in its own lock list, deduplicated through a per-item mark (a
+// generation stamp plus the index in that list), and its release merely
+// truncates the list. When a second transaction begins, the solo
+// transaction's holdings are handed over to the item table as ordinary
+// holders, and the table path serves every request until a Begin again
+// finds no live transaction (the table is then provably empty). The
+// paper's single-user figures never leave the solo path; the hand-over
+// makes the two paths indistinguishable to callers, outcome for outcome.
 package lock
 
 import (
@@ -222,6 +234,14 @@ type txRec struct {
 	waits []Item
 }
 
+// itemMark locates an item in the solo transaction's lock list: locks[idx]
+// holds it when gen equals the Manager's current generation. Any other
+// stamp means the solo transaction does not hold the item.
+type itemMark struct {
+	gen uint32
+	idx uint32
+}
+
 // denseItems bounds the directly indexed item table. OCB object IDs are
 // small dense non-negative integers, so in practice every item lands in
 // the dense slice; anything outside [0, denseItems) falls back to a map.
@@ -255,6 +275,17 @@ type Manager struct {
 	// release can dispatch a grant, so ReleaseAll may skip sorting the
 	// held-lock list: the release order is unobservable.
 	queued int
+
+	// Solo path. live counts registered transactions. solo is the record
+	// of the transaction that began while none was live, for as long as
+	// it stays alone and its grants are not in the item table; marks
+	// indexes its lock list by item under generation gen, which advances
+	// whenever that list is emptied and survives Reset (the stamps, unlike
+	// TxIDs, must never repeat while a stale mark can still match).
+	live  int
+	solo  *txRec
+	marks []itemMark
+	gen   uint32
 }
 
 // NewManager returns an empty lock table.
@@ -402,6 +433,8 @@ func (m *Manager) Reset() {
 	m.nextTx = 0
 	m.acquisitions, m.waits, m.deaths = 0, 0, 0
 	m.queued = 0
+	m.live = 0
+	m.solo = nil
 }
 
 func (m *Manager) getEntry() *entry {
@@ -434,7 +467,70 @@ func (m *Manager) Begin() TxID {
 	rec.locks = rec.locks[:0]
 	rec.waits = rec.waits[:0]
 	m.storeTx(rec)
+	switch {
+	case m.live == 0:
+		// No transaction is live, so the item table is empty and nothing
+		// can conflict with tx until a second one begins.
+		m.solo = rec
+		m.nextGen()
+	case m.solo != nil:
+		m.handOver()
+	}
+	m.live++
 	return tx
+}
+
+// nextGen advances the mark generation, invalidating every mark. On the
+// (once per 2³² lists) wrap the marks are cleared so an ancient stamp
+// cannot match the restarted counter.
+func (m *Manager) nextGen() {
+	m.gen++
+	if m.gen == 0 {
+		clear(m.marks)
+		m.gen = 1
+	}
+}
+
+// handOver installs the solo transaction's holdings in the item table as
+// ordinary holders and leaves the solo path: from here on the table
+// serves every request exactly as if it had recorded those grants itself.
+func (m *Manager) handOver() {
+	rec := m.solo
+	m.solo = nil
+	for _, h := range rec.locks {
+		e := m.getEntry()
+		e.setHolder(rec.owner, h.mode)
+		m.storeItem(h.item, e)
+	}
+}
+
+// requestSolo grants item to the solo transaction. It is always granted:
+// re-entrant requests and S→X upgrades find the item through its mark and
+// update the list in place, so the list holds each item once, exactly as
+// the table path would have recorded it.
+func (m *Manager) requestSolo(rec *txRec, item Item, mode Mode) Outcome {
+	m.acquisitions++
+	if int(item) >= len(m.marks) {
+		m.growMarks(int(item) + 1)
+	}
+	mk := &m.marks[item]
+	if mk.gen == m.gen {
+		if mode == Exclusive {
+			rec.locks[mk.idx].mode = Exclusive
+		}
+		return Granted
+	}
+	*mk = itemMark{gen: m.gen, idx: uint32(len(rec.locks))}
+	rec.locks = append(rec.locks, heldLock{item: item, mode: mode})
+	return Granted
+}
+
+// growMarks extends the mark slice to cover n items, at least doubling it
+// so that a base touched in ascending item order costs O(log n) growths.
+func (m *Manager) growMarks(n int) {
+	grown := make([]itemMark, max(n, 2*len(m.marks)))
+	copy(grown, m.marks)
+	m.marks = grown
 }
 
 // Holds returns the mode tx holds on item, and whether it holds it at all.
@@ -495,10 +591,18 @@ func (m *Manager) Acquire(tx TxID, item Item, mode Mode, granted, died func()) {
 // Granted (the lock is held), Died (wait-die abort), or Queued. granted
 // runs only for a Queued request, exactly once, when a release dispatches
 // it; an immediate decision invokes nothing, so the caller continues
-// without re-entering itself through a callback.
+// without re-entering itself through a callback. A transaction with a
+// queued request is blocked: it may abort (ReleaseAll, End) but must not
+// Request again before its grant.
 func (m *Manager) Request(tx TxID, item Item, mode Mode, granted func()) Outcome {
 	if granted == nil {
 		panic("lock: Request with nil callback")
+	}
+	if rec := m.solo; rec != nil && rec.owner == tx {
+		if item >= 0 && item < denseItems {
+			return m.requestSolo(rec, item, mode)
+		}
+		m.handOver() // the marks cover the dense range only
 	}
 	rec := m.lookupTx(tx)
 	if rec == nil {
@@ -597,6 +701,14 @@ func (m *Manager) ReleaseAll(tx TxID) {
 	if rec == nil {
 		return
 	}
+	if rec == m.solo {
+		// The solo transaction's grants exist only in its list.
+		if len(rec.locks) > 0 {
+			rec.locks = rec.locks[:0]
+			m.nextGen()
+		}
+		return
+	}
 	if m.queued > 0 {
 		// With no queued request anywhere, no release can dispatch a grant,
 		// so the release order is unobservable and the sort is skipped —
@@ -640,6 +752,10 @@ func (m *Manager) End(tx TxID) {
 			m.putEntry(e)
 		}
 	}
+	if rec == m.solo {
+		m.solo = nil
+	}
+	m.live--
 	m.clearTx(tx)
 	m.putRec(rec)
 }
@@ -736,6 +852,28 @@ func sortHeldLocks(a []heldLock) {
 		}
 		a[j+1] = x
 	}
+}
+
+// Quiescent returns an error unless the table is idle: no live
+// transaction, no item entry and no queued request. It is the lock
+// layer's conservation law at the end of a batch; it scans the item
+// table, so it is meant for tests and checks, not the hot path.
+func (m *Manager) Quiescent() error {
+	if m.live != 0 {
+		return fmt.Errorf("lock: %d live transactions at quiescence", m.live)
+	}
+	if m.queued != 0 {
+		return fmt.Errorf("lock: %d queued requests at quiescence", m.queued)
+	}
+	for item, e := range m.dense {
+		if e != nil {
+			return fmt.Errorf("lock: item %d still has an entry at quiescence", item)
+		}
+	}
+	if n := len(m.sparse); n != 0 {
+		return fmt.Errorf("lock: %d sparse items still have entries at quiescence", n)
+	}
+	return nil
 }
 
 // Acquisitions returns the number of granted requests.
